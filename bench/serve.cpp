@@ -154,7 +154,9 @@ ServeResult measureServing(bool zero_copy) {
   VM& vm = *env.vm;
   MutatorPool& pool = vm.mutatorPool();
   const int total = static_cast<int>(kServers) * per_server;
-  std::vector<i64> latency(static_cast<size_t>(total), 0);
+  // -1 = never completed (allocation or transfer failed); such slots are
+  // left out of the percentiles instead of counting as 0-latency replies.
+  std::vector<i64> latency(static_cast<size_t>(total), -1);
   std::atomic<int> failed{0};
 
   // Warm the handlers (first call quickens/compiles).
@@ -184,15 +186,14 @@ ServeResult measureServing(bool zero_copy) {
     const i64 t0 = nowNs();
     pool.submit(
         [&vm, sender, req, ref, loader, cls, slot, t0, &failed](JThread* jt) {
-          Object* got = transferGraph(vm, jt, sender, req);
+          LocalRootScope roots(jt);
+          Object* got = transferGraph(vm, jt, sender, req, nullptr, &roots);
           vm.removeGlobalRef(ref);
           if (got == nullptr) {
             vm.clearPending(jt);
             failed.fetch_add(1);
             return;
           }
-          LocalRootScope roots(jt);
-          roots.add(got);
           vm.callStaticIn(jt, loader, cls, "sum", "([I)I",
                           {Value::ofRef(got)});
           if (jt->pending_exception != nullptr) vm.clearPending(jt);
@@ -208,6 +209,7 @@ ServeResult measureServing(bool zero_copy) {
   r.throughput_rps =
       wall > 0 ? static_cast<double>(r.requests) / (static_cast<double>(wall) / 1e9)
                : 0;
+  std::erase(latency, -1);
   std::sort(latency.begin(), latency.end());
   r.p50_us = pctile(latency, 0.50);
   r.p90_us = pctile(latency, 0.90);

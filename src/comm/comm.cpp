@@ -181,8 +181,9 @@ void CommHarness::incommunicadoServer() {
     // request when it pushed the GlobalRef, so eligible payload nodes are
     // re-keyed to this isolate instead of copied; with comm_zero_copy off
     // this is exactly the old deepCopy.
-    Object* copy =
-        transferGraph(vm_, t, vm_.isolateById(ref->isolate_id), request);
+    LocalRootScope roots(t);
+    Object* copy = transferGraph(vm_, t, vm_.isolateById(ref->isolate_id),
+                                 request, nullptr, &roots);
     vm_.removeGlobalRef(ref);
     i32 result = -1;
     if (copy != nullptr && t->pending_exception == nullptr) {
@@ -242,7 +243,8 @@ void CommHarness::rmiServer() {
     std::string payload;
     if (!server->readFully(&payload, len, &stop_)) break;
 
-    Object* request = deserializeGraph(vm_, t, payload);
+    LocalRootScope roots(t);
+    Object* request = deserializeGraph(vm_, t, payload, &roots);
     i32 result = -1;
     if (request != nullptr && t->pending_exception == nullptr) {
       Object* mname = request->fields()[method_f->slot].asRef();
@@ -253,7 +255,6 @@ void CommHarness::rmiServer() {
     }
     t->pending_exception = nullptr;
 
-    LocalRootScope roots(t);
     Object* reply = roots.add(vm_.allocObject(t, reply_class_));
     reply->fields()[value_f->slot] = Value::ofInt(result);
     reply->fields()[status_f->slot] =
@@ -290,7 +291,7 @@ i64 CommHarness::runRmi(i32 n) {
     size_t len = static_cast<size_t>(std::stoll(header));
     std::string payload;
     IJVM_CHECK(rmi_channel_->readFully(&payload, len, &stop_), "rmi cancelled");
-    Object* reply = deserializeGraph(vm_, t, payload);
+    Object* reply = deserializeGraph(vm_, t, payload, &roots);
     IJVM_CHECK(reply != nullptr && t->pending_exception == nullptr,
                vm_.pendingMessage(t));
     result = reply->fields()[value_f->slot].asInt();

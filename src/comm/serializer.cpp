@@ -1,6 +1,7 @@
 #include "comm/serializer.h"
 
 #include <cstring>
+#include <optional>
 #include <sstream>
 #include <unordered_map>
 #include <vector>
@@ -26,28 +27,33 @@ std::vector<JField*> instanceFields(JClass* cls) {
   return out;
 }
 
-// Brackets straight-line host code so it counts as a Running mutator:
-// while counted, no stop-the-world operation (GC accounting pass,
-// terminateIsolate) can complete, so the bracketed code is atomic with
-// respect to both. Attached host threads (comm servers, pool embedders)
-// sit in Blocked between guest calls and are NOT parked by a
-// stop-the-world, so flipping them counted is the only way to exclude the
-// collector; a thread already Running is already counted and needs no
-// transition. The bracketed code must never poll, block or allocate.
-class CountedScope {
+// Brackets a graph walk as a Running mutator. Attached host threads
+// (comm servers, pool workers between tasks) sit in Blocked between guest
+// calls, and a Blocked thread counts as parked: another thread's
+// collection could run mid-walk and sweep a fresh copy before the walk
+// roots it. While Running the thread is counted, so no stop-the-world
+// (GC, terminateIsolate) completes until the walk ends, polls or blocks,
+// and a collection its own allocation triggers runs as this thread's
+// (collectGarbage sees a Running requester). A thread already Running --
+// a guest inside a native -- is left untouched.
+class RunningScope {
  public:
-  CountedScope(VM& vm, JThread* t)
+  RunningScope(VM& vm, JThread* t)
       : sp_(vm.safepoints()),
         t_(t),
-        was_blocked_(t->state.load(std::memory_order_acquire) !=
-                     ThreadState::Running) {
-    if (was_blocked_) sp_.exitBlocked(t_);
+        was_blocked_(t->state.load(std::memory_order_acquire) ==
+                     ThreadState::Blocked) {
+    if (!was_blocked_) return;
+    sp_.exitBlocked(t_);
+    t_->state.store(ThreadState::Running, std::memory_order_release);
   }
-  ~CountedScope() {
-    if (was_blocked_) sp_.enterBlocked(t_);
+  ~RunningScope() {
+    if (!was_blocked_) return;
+    t_->state.store(ThreadState::Blocked, std::memory_order_release);
+    sp_.enterBlocked(t_);
   }
-  CountedScope(const CountedScope&) = delete;
-  CountedScope& operator=(const CountedScope&) = delete;
+  RunningScope(const RunningScope&) = delete;
+  RunningScope& operator=(const RunningScope&) = delete;
 
  private:
   SafepointController& sp_;
@@ -68,10 +74,18 @@ bool isInternedIn(Isolate* iso, Object* o) {
 // The shared copy/donate walker behind deepCopy and transferGraph.
 // `sender` == nullptr disables donation (pure deep copy).
 Object* copyOrTransfer(VM& vm, JThread* receiver, Isolate* sender,
-                       Object* src, TransferStats* stats) {
+                       Object* src, TransferStats* stats,
+                       LocalRootScope* keep) {
   if (src == nullptr) return nullptr;
+  RunningScope running(vm, receiver);
   std::unordered_map<Object*, Object*> copies;
-  LocalRootScope roots(receiver);
+  // The walk roots what it makes in the caller's `keep` scope when given,
+  // so the result is still rooted when the walk stops counting as
+  // Running. (Local roots are a stack: a scope of the walk's own would
+  // drop anything added to `keep` while it was open.)
+  std::optional<LocalRootScope> own_roots;
+  if (keep == nullptr) own_roots.emplace(receiver);
+  LocalRootScope& roots = keep != nullptr ? *keep : *own_roots;
   Isolate* recv_iso = receiver->current_isolate.load(std::memory_order_relaxed);
 
   bool donate_enabled = false;
@@ -92,19 +106,19 @@ Object* copyOrTransfer(VM& vm, JThread* receiver, Isolate* sender,
   };
 
   // Donates `o` (leaf kinds only): re-keys it to the receiver and moves
-  // its bytes from the sender's account to the receiver's. The decisive
-  // checks repeat inside a CountedScope so the re-key + charge transfer
+  // its bytes from the sender's account to the receiver's. The walk runs
+  // Running, and the decisive checks repeat with no poll, block or
+  // allocation between them and the charge transfer, so the donation
   // cannot interleave with a GC's charge recomputation or with
   // terminateIsolate (docs/comm.md, "Donation vs termination"). Returns
   // nullptr when ineligible; the caller falls back to copying.
   auto tryDonate = [&](Object* o) -> Object* {
     // Cheap conservative pre-checks (racy reads are fine; the decisive
-    // repeat is inside the bracket).
+    // repeat follows the lock-taking intern check).
     if (o->creator_isolate != sender->id || o->monitor != nullptr) {
       return nullptr;
     }
     if (o->kind == ObjKind::String && isInternedIn(sender, o)) return nullptr;
-    CountedScope counted(vm, receiver);
     if (!sender->isActive() || !recv_iso->isActive()) return nullptr;
     if (o->creator_isolate != sender->id || o->monitor != nullptr) {
       return nullptr;
@@ -236,14 +250,14 @@ Object* copyOrTransfer(VM& vm, JThread* receiver, Isolate* sender,
 }  // namespace
 
 Object* deepCopy(VM& vm, JThread* receiver, Object* src) {
-  return copyOrTransfer(vm, receiver, /*sender=*/nullptr, src, nullptr);
+  return copyOrTransfer(vm, receiver, /*sender=*/nullptr, src, nullptr, nullptr);
 }
 
 Object* transferGraph(VM& vm, JThread* receiver, Isolate* sender, Object* root,
-                      TransferStats* stats) {
+                      TransferStats* stats, LocalRootScope* keep) {
   TransferStats local;
   if (stats == nullptr) stats = &local;
-  Object* out = copyOrTransfer(vm, receiver, sender, root, stats);
+  Object* out = copyOrTransfer(vm, receiver, sender, root, stats, keep);
   if (stats->objects_donated > 0 && obs::traceEnabled()) {
     Isolate* recv_iso =
         receiver->current_isolate.load(std::memory_order_relaxed);
@@ -431,15 +445,19 @@ std::string serializeGraph(VM& vm, Object* root) {
   return w.finish();
 }
 
-Object* deserializeGraph(VM& vm, JThread* receiver, const std::string& bytes) {
+Object* deserializeGraph(VM& vm, JThread* receiver, const std::string& bytes,
+                         LocalRootScope* keep) {
   Reader r(bytes);
   if (!r.open()) {
     vm.throwGuest(receiver, "java/lang/IllegalArgumentException",
                   "corrupt serialized stream");
     return nullptr;
   }
+  RunningScope running(vm, receiver);  // same rooting window as the walk
   std::unordered_map<i64, Object*> ids;
-  LocalRootScope roots(receiver);
+  std::optional<LocalRootScope> own_roots;  // as in copyOrTransfer
+  if (keep == nullptr) own_roots.emplace(receiver);
+  LocalRootScope& roots = keep != nullptr ? *keep : *own_roots;
   Isolate* iso = receiver->current_isolate.load(std::memory_order_relaxed);
 
   std::function<Object*()> parse = [&]() -> Object* {

@@ -50,8 +50,18 @@ struct TransferStats {
 // nullptr and sets a pending guest exception on failure; a failed or
 // partial transfer never leaks charge (donated-then-dropped nodes are
 // receiver-charged garbage reclaimed by the next GC).
+//
+// Threads: `receiver` may be a guest inside a native (Running) or an
+// attached host thread between guest calls (Blocked). A Blocked receiver
+// runs the walk as Running, so no other thread's collection can sweep a
+// node the walk has not yet rooted; deepCopy and deserializeGraph do the
+// same. A Blocked caller should pass `keep` (here and to
+// deserializeGraph): the walk roots every node it makes, the result
+// included, in that scope, so the result is never unrooted while another
+// thread may collect.
 Object* transferGraph(VM& vm, JThread* receiver, Isolate* sender, Object* root,
-                      TransferStats* stats = nullptr);
+                      TransferStats* stats = nullptr,
+                      LocalRootScope* keep = nullptr);
 
 // Copies `src` into the isolate `receiver` currently runs in. Allocations
 // are charged to the receiver (it performs the copy). Returns nullptr and
@@ -64,6 +74,7 @@ std::string serializeGraph(VM& vm, Object* root);
 // Rebuilds the graph in the receiver's isolate; class names resolve through
 // the receiver's current loader. Returns nullptr (pending exception) on
 // malformed input or unresolvable classes.
-Object* deserializeGraph(VM& vm, JThread* receiver, const std::string& bytes);
+Object* deserializeGraph(VM& vm, JThread* receiver, const std::string& bytes,
+                         LocalRootScope* keep = nullptr);
 
 }  // namespace ijvm

@@ -181,10 +181,10 @@ void registerVmMetrics(MetricsRegistry* reg, VM& vm) {
                if (s.count == 0) continue;
                const std::string site = promEscape(latName(l));
                out->push_back(MetricSample{
-                   strf("site=\"%s\",quantile=\"p50\"", site.c_str()),
+                   strf("site=\"%s\",quantile=\"0.5\"", site.c_str()),
                    static_cast<double>(s.p50_ns)});
                out->push_back(MetricSample{
-                   strf("site=\"%s\",quantile=\"p99\"", site.c_str()),
+                   strf("site=\"%s\",quantile=\"0.99\"", site.c_str()),
                    static_cast<double>(s.p99_ns)});
              }
            });

@@ -7,7 +7,6 @@
 #include <chrono>
 #include <deque>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <unordered_map>
@@ -15,6 +14,7 @@
 
 #include "exec/compile_manager.h"
 #include "obs/clock.h"
+#include "obs/seq_ring.h"
 #include "obs/trace.h"
 #include "runtime/vm.h"
 #include "support/strf.h"
@@ -123,29 +123,6 @@ u32 slotFor(i32 isolate) {
   return static_cast<u32>(isolate);
 }
 
-// One seqlock sample slot; the publish protocol is the trace ring's
-// (obs/trace.cpp Slot): invalidate, relaxed payload stores, release-store
-// seq = write-index + 1. Readers reject a slot whose seq moved.
-struct SampleSlot {
-  std::atomic<u64> seq{0};
-  std::atomic<u64> ts{0};
-  std::atomic<i32> isolate{-1};
-  std::atomic<u8> kind{0};
-  std::atomic<u8> depth{0};
-  std::atomic<u8> truncated{0};
-  std::atomic<u32> names[kMaxDepth] = {};
-  std::atomic<u8> tiers[kMaxDepth] = {};
-};
-
-// One thread's sample ring: single writer (the owning thread -- guest
-// self-samples, or the tick driver for activity samples), any readers.
-struct SampleRing {
-  SampleRing(u32 tid_, u32 cap) : tid(tid_), slots(cap) {}
-  const u32 tid;
-  std::vector<SampleSlot> slots;
-  std::atomic<u64> next{0};  // monotonic write count, owner-written
-};
-
 // Host-thread activity slot (compile workers, the GC bracket, pumps).
 // Claimed with a CAS on `busy`, published/retired by bumping `seq` (odd =
 // open); the sampler validates its field reads with a seq re-check.
@@ -157,15 +134,16 @@ struct ActivitySlot {
   std::atomic<u32> name{0};
 };
 
-// One decoded pending sample, before ring publication.
-struct PendingSample {
+// One sample ring record (padding-free, as SeqRing requires).
+struct SampleRecord {
   u64 ts = 0;
   i32 isolate = -1;
   SampleThreadKind kind = SampleThreadKind::Mutator;
+  u8 depth = 0;
   bool truncated = false;
-  u32 depth = 0;
-  u32 names[kMaxDepth];
-  u8 tiers[kMaxDepth];
+  u8 unused = 0;
+  u32 names[kMaxDepth] = {};
+  u8 tiers[kMaxDepth] = {};
 };
 
 SampleTier tierOfFrame(const Frame& f) {
@@ -178,7 +156,6 @@ struct Profiler::Impl {
   explicit Impl(VM& vm_ref) : vm(vm_ref) {}
 
   VM& vm;
-  const u64 instance = nextInstanceId();
 
   std::atomic<bool> enabled{true};
 
@@ -188,13 +165,9 @@ struct Profiler::Impl {
   std::atomic<bool> stop_flag{false};
   std::mutex tick_mu;
 
-  // Ring registry (mirrors obs/trace.cpp TraceState).
-  std::mutex mu;
-  std::deque<std::unique_ptr<SampleRing>> rings;
-  std::deque<std::unique_ptr<SampleRing>> retired;  // kept alive after reset
-  u32 next_tid = 1;
-  u32 ring_slots = kDefaultRingSlots;
-  std::atomic<u64> epoch{1};
+  // Per-thread sample rings: guest self-samples land in the guest's own
+  // ring, activity samples in the ticking thread's.
+  RingSet<SampleRecord> rings{kDefaultRingSlots};
 
   ActivitySlot activity[kActivitySlots];
 
@@ -211,86 +184,16 @@ struct Profiler::Impl {
   u64 window_prev[kCounterSlots] = {};
   std::atomic<u32> window_share_pm[kCounterSlots] = {};
   std::atomic<u64> window_total_delta{0};
-
-  static u64 nextInstanceId() {
-    static std::atomic<u64> next{1};
-    return next.fetch_add(1, std::memory_order_relaxed);
-  }
 };
 
 namespace {
 
-// Thread-local ring cache keyed by (profiler instance, reset epoch) --
-// instance ids, not pointers, so a Profiler reallocated at a dead one's
-// address cannot inherit a stale ring.
-struct TlRing {
-  u64 instance = 0;
-  u64 epoch = 0;
-  SampleRing* ring = nullptr;
-};
-thread_local TlRing tl_ring;
-
-SampleRing& ringOf(Profiler::Impl& s) {
-  const u64 epoch = s.epoch.load(std::memory_order_acquire);
-  if (tl_ring.ring == nullptr || tl_ring.instance != s.instance ||
-      tl_ring.epoch != epoch) {
-    std::lock_guard<std::mutex> lock(s.mu);
-    s.rings.push_back(std::make_unique<SampleRing>(s.next_tid++, s.ring_slots));
-    tl_ring.ring = s.rings.back().get();
-    tl_ring.instance = s.instance;
-    tl_ring.epoch = s.epoch.load(std::memory_order_relaxed);
-  }
-  return *tl_ring.ring;
-}
-
-void publishSample(Profiler::Impl& s, const PendingSample& p) {
-  SampleRing& r = ringOf(s);
-  const u64 idx = r.next.load(std::memory_order_relaxed);
-  SampleSlot& slot = r.slots[idx % r.slots.size()];
-  slot.seq.store(0, std::memory_order_release);  // invalidate for readers
-  slot.ts.store(p.ts, std::memory_order_relaxed);
-  slot.isolate.store(p.isolate, std::memory_order_relaxed);
-  slot.kind.store(static_cast<u8>(p.kind), std::memory_order_relaxed);
-  slot.depth.store(static_cast<u8>(p.depth), std::memory_order_relaxed);
-  slot.truncated.store(p.truncated ? 1 : 0, std::memory_order_relaxed);
-  for (u32 i = 0; i < p.depth; ++i) {
-    slot.names[i].store(p.names[i], std::memory_order_relaxed);
-    slot.tiers[i].store(p.tiers[i], std::memory_order_relaxed);
-  }
-  slot.seq.store(idx + 1, std::memory_order_release);
-  r.next.store(idx + 1, std::memory_order_release);
-
+void publishSample(Profiler::Impl& s, const SampleRecord& p) {
+  s.rings.write(p);
   s.total_samples.fetch_add(1, std::memory_order_relaxed);
   s.iso_samples[slotFor(p.isolate)].fetch_add(1, std::memory_order_relaxed);
   s.kind_samples[static_cast<size_t>(p.kind)].fetch_add(
       1, std::memory_order_relaxed);
-}
-
-void readRing(const SampleRing& r, std::vector<ProfileSample>* out) {
-  for (const SampleSlot& slot : r.slots) {
-    const u64 seq1 = slot.seq.load(std::memory_order_acquire);
-    if (seq1 == 0) continue;  // empty or mid-write
-    ProfileSample p;
-    p.ts_ns = slot.ts.load(std::memory_order_relaxed);
-    p.isolate = slot.isolate.load(std::memory_order_relaxed);
-    p.kind = static_cast<SampleThreadKind>(
-        slot.kind.load(std::memory_order_relaxed));
-    p.truncated = slot.truncated.load(std::memory_order_relaxed) != 0;
-    u32 depth = slot.depth.load(std::memory_order_relaxed);
-    depth = std::min(depth, kMaxDepth);
-    p.name_ids.resize(depth);
-    p.tiers.resize(depth);
-    for (u32 i = 0; i < depth; ++i) {
-      p.name_ids[i] = slot.names[i].load(std::memory_order_relaxed);
-      u8 tier = slot.tiers[i].load(std::memory_order_relaxed);
-      if (tier >= static_cast<u8>(SampleTier::Count)) tier = 0;
-      p.tiers[i] = static_cast<SampleTier>(tier);
-    }
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (slot.seq.load(std::memory_order_relaxed) != seq1) continue;  // torn
-    if (p.kind >= SampleThreadKind::Count) continue;
-    out->push_back(std::move(p));
-  }
 }
 
 u32 methodNameId(JMethod* m) {
@@ -360,11 +263,7 @@ bool Profiler::enabled() const {
   return impl_->enabled.load(std::memory_order_relaxed);
 }
 
-void Profiler::setRingCapacity(u32 slots) {
-  Impl& s = *impl_;
-  std::lock_guard<std::mutex> lock(s.mu);
-  s.ring_slots = slots > 0 ? slots : 1;
-}
+void Profiler::setRingCapacity(u32 slots) { impl_->rings.setCapacity(slots); }
 
 u64 Profiler::totalSamples() const {
   return impl_->total_samples.load(std::memory_order_relaxed);
@@ -398,7 +297,7 @@ void Profiler::selfSample(JThread* t) {
                          std::memory_order_relaxed);
   if (!s.enabled.load(std::memory_order_relaxed)) return;
 
-  PendingSample p;
+  SampleRecord p;
   p.ts = monoNowNs();
   p.kind = SampleThreadKind::Mutator;
 
@@ -413,7 +312,7 @@ void Profiler::selfSample(JThread* t) {
   };
   if (n <= kMaxDepth) {
     for (size_t i = 0; i < n; ++i) frameInto(i, static_cast<u32>(i));
-    p.depth = static_cast<u32>(n);
+    p.depth = static_cast<u8>(n);
   } else {
     // Keep the outermost kRootKeep and the leaf-most remainder; the
     // exporter marks the cut. Entry points and hot leaves both survive.
@@ -448,6 +347,10 @@ int Profiler::activityBegin(SampleThreadKind kind, i32 isolate,
                                         std::memory_order_acq_rel)) {
       continue;
     }
+    // The seqlock writer fence (docs/concurrency.md): the previous
+    // holder's closing seq bump must reach a sampler that sees any field
+    // stored below, so it rejects a half-rewritten slot.
+    std::atomic_thread_fence(std::memory_order_release);
     a.isolate.store(isolate, std::memory_order_relaxed);
     a.kind.store(static_cast<u8>(kind), std::memory_order_relaxed);
     a.name.store(name, std::memory_order_relaxed);
@@ -491,7 +394,7 @@ void Profiler::tickOnce() {
   for (ActivitySlot& a : s.activity) {
     const u32 seq1 = a.seq.load(std::memory_order_acquire);
     if ((seq1 & 1) == 0) continue;  // closed
-    PendingSample p;
+    SampleRecord p;
     p.ts = ts;
     p.isolate = a.isolate.load(std::memory_order_relaxed);
     p.kind = static_cast<SampleThreadKind>(
@@ -559,12 +462,19 @@ void Profiler::tickOnce() {
 }
 
 std::vector<ProfileSample> Profiler::snapshot() {
-  Impl& s = *impl_;
   std::vector<ProfileSample> out;
-  {
-    std::lock_guard<std::mutex> lock(s.mu);
-    for (const auto& r : s.rings) readRing(*r, &out);
-  }
+  impl_->rings.readAll([&out](u32, const SampleRecord& r) {
+    ProfileSample p;
+    p.ts_ns = r.ts;
+    p.isolate = r.isolate;
+    p.kind = r.kind;
+    p.truncated = r.truncated;
+    p.name_ids.assign(r.names, r.names + r.depth);
+    for (u32 i = 0; i < r.depth; ++i) {
+      p.tiers.push_back(static_cast<SampleTier>(r.tiers[i]));
+    }
+    out.push_back(std::move(p));
+  });
   std::stable_sort(out.begin(), out.end(),
                    [](const ProfileSample& a, const ProfileSample& b) {
                      return a.ts_ns < b.ts_ns;
@@ -679,15 +589,7 @@ std::string Profiler::attributionSection() {
 void Profiler::reset() {
   Impl& s = *impl_;
   std::lock_guard<std::mutex> tick_lock(s.tick_mu);
-  {
-    std::lock_guard<std::mutex> lock(s.mu);
-    // Rings retire, never free: a guest mid-selfSample keeps writing into
-    // memory that stays valid; it re-acquires a fresh ring on its next
-    // sample via the epoch check.
-    for (auto& r : s.rings) s.retired.push_back(std::move(r));
-    s.rings.clear();
-    s.epoch.fetch_add(1, std::memory_order_acq_rel);
-  }
+  s.rings.reset();  // retired, not freed: a guest may be mid-selfSample
   s.total_samples.store(0, std::memory_order_relaxed);
   for (auto& c : s.iso_samples) c.store(0, std::memory_order_relaxed);
   for (auto& c : s.kind_samples) c.store(0, std::memory_order_relaxed);

@@ -27,10 +27,11 @@
 //     channel pumps) publish an *activity slot* (kind, isolate, label)
 //     the sampler reads directly -- plain atomics, no frames involved.
 //
-// Rings are seqlock slot rings exactly like the trace's (obs/trace.h):
-// single owner-writer, any number of snapshot readers, wrap keeps the
-// newest. Aggregation (folded stacks, the CPU-attribution report table,
-// per-isolate share counters) happens entirely on the reader side.
+// Rings are the obs layer's one seqlock ring (obs/seq_ring.h), shared
+// with the trace: single owner-writer, any number of snapshot readers,
+// wrap keeps the newest, reused once their thread exits. Aggregation
+// (folded stacks, the CPU-attribution report table, per-isolate share
+// counters) happens entirely on the reader side.
 //
 // Everything compiles out under -DIJVM_DISABLE_PROFILER: the Profiler
 // becomes an inert stub, the poll-site check macro expands to nothing,
@@ -149,8 +150,8 @@ class Profiler {
   // %time + sample counts, tier mix, top-5 hot leaf methods.
   std::string attributionSection();
 
-  // Forgets samples and counters. Rings of live threads are retired (not
-  // freed), exactly like resetTrace; interned names survive.
+  // Forgets samples and counters. Rings are retired (not freed), exactly
+  // like resetTrace; interned names survive.
   void reset();
 
   // Owner-thread slow path behind IJVM_PROFILE_POLL: acknowledges the
@@ -166,8 +167,8 @@ class Profiler {
   // Ticks between CPU-share window rolls (exposed for tests).
   static constexpr u32 kWindowTicks = 32;
 
-  // Public so the translation unit's free helpers (ring publication and
-  // readers) can name it; the definition stays in profiler.cpp.
+  // Public so the translation unit's free helpers (sample publication)
+  // can name it; the definition stays in profiler.cpp.
   struct Impl;
 
  private:

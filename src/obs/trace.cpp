@@ -4,11 +4,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <deque>
-#include <memory>
 #include <mutex>
 #include <unordered_map>
 
 #include "obs/clock.h"
+#include "obs/seq_ring.h"
 #include "support/strf.h"
 
 namespace ijvm::obs {
@@ -107,43 +107,23 @@ const char* evCategory(Ev e) {
 
 constexpr u32 kDefaultRingSlots = 8192;
 
-// One seqlock slot. The owning thread invalidates (seq = 0), fills the
-// payload with relaxed stores, then release-stores seq = index + 1; a
-// reader accepts the slot only when seq reads the same nonzero value on
-// both sides of the payload loads. Payload fields are relaxed atomics so
-// the reader/writer race is defined (and TSan-clean) -- on every target
-// we care about they cost the same as plain stores.
-struct Slot {
-  std::atomic<u64> seq{0};
-  std::atomic<u64> ts{0};
-  std::atomic<u64> a{0};
-  std::atomic<u64> b{0};
-  std::atomic<i32> isolate{-1};
-  std::atomic<u8> ev{0};
-  std::atomic<u8> ph{0};
-};
-
-// One thread's ring. Single writer (the owning thread); any number of
-// concurrent readers.
-struct Ring {
-  explicit Ring(u32 tid_, u32 cap) : tid(tid_), slots(cap) {}
-  const u32 tid;
-  std::string name;
-  std::vector<Slot> slots;
-  // Total events ever written by this thread; the write cursor is
-  // next % slots.size(). Monotonic, owner-written only.
-  std::atomic<u64> next{0};
+// One ring record: an event without its tid (the ring's tid is stamped
+// at read time). Padding-free, as SeqRing requires.
+struct TraceRecord {
+  u64 ts;
+  u64 a;
+  u64 b;
+  i32 isolate;
+  Ev ev;
+  Ph ph;
+  u16 unused = 0;
 };
 
 struct TraceState {
-  std::mutex mu;
-  std::deque<std::unique_ptr<Ring>> rings;     // readable
-  std::deque<std::unique_ptr<Ring>> retired;   // kept alive after reset
+  std::mutex mu;  // guards the name interner
   std::unordered_map<std::string, u32> name_ids;
   std::deque<std::string> names;  // id -> string (id 0 = "")
-  u32 next_tid = 1;
-  u32 ring_slots = kDefaultRingSlots;
-  std::atomic<u64> epoch{1};
+  RingSet<TraceRecord> rings{kDefaultRingSlots};
   std::atomic<bool> enabled{true};
   LatencyHistogram hists[static_cast<size_t>(Lat::Count)];
 };
@@ -151,61 +131,6 @@ struct TraceState {
 TraceState& state() {
   static TraceState* s = new TraceState();  // never destroyed: emitters may
   return *s;                                // outlive static teardown order
-}
-
-struct ThreadRing {
-  Ring* ring = nullptr;
-  u64 epoch = 0;
-};
-thread_local ThreadRing tl_ring;
-
-Ring& myRing() {
-  TraceState& st = state();
-  const u64 epoch = st.epoch.load(std::memory_order_acquire);
-  if (tl_ring.ring == nullptr || tl_ring.epoch != epoch) {
-    std::lock_guard<std::mutex> lock(st.mu);
-    st.rings.push_back(
-        std::make_unique<Ring>(st.next_tid++, st.ring_slots));
-    tl_ring.ring = st.rings.back().get();
-    tl_ring.epoch = st.epoch.load(std::memory_order_relaxed);
-  }
-  return *tl_ring.ring;
-}
-
-void writeSlot(Ring& r, u64 ts, Ev ev, Ph ph, i32 isolate, u64 a, u64 b) {
-  const u64 idx = r.next.load(std::memory_order_relaxed);
-  Slot& s = r.slots[idx % r.slots.size()];
-  s.seq.store(0, std::memory_order_release);  // invalidate for readers
-  s.ts.store(ts, std::memory_order_relaxed);
-  s.a.store(a, std::memory_order_relaxed);
-  s.b.store(b, std::memory_order_relaxed);
-  s.isolate.store(isolate, std::memory_order_relaxed);
-  s.ev.store(static_cast<u8>(ev), std::memory_order_relaxed);
-  s.ph.store(static_cast<u8>(ph), std::memory_order_relaxed);
-  s.seq.store(idx + 1, std::memory_order_release);
-  r.next.store(idx + 1, std::memory_order_release);
-}
-
-// Collects every consistently-readable event of one ring.
-void readRing(const Ring& r, std::vector<TraceEvent>* out) {
-  const size_t cap = r.slots.size();
-  for (size_t i = 0; i < cap; ++i) {
-    const Slot& s = r.slots[i];
-    const u64 seq1 = s.seq.load(std::memory_order_acquire);
-    if (seq1 == 0) continue;  // empty or mid-write
-    TraceEvent e;
-    e.ts_ns = s.ts.load(std::memory_order_relaxed);
-    e.a = s.a.load(std::memory_order_relaxed);
-    e.b = s.b.load(std::memory_order_relaxed);
-    e.isolate = s.isolate.load(std::memory_order_relaxed);
-    e.ev = static_cast<Ev>(s.ev.load(std::memory_order_relaxed));
-    e.ph = static_cast<Ph>(s.ph.load(std::memory_order_relaxed));
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (s.seq.load(std::memory_order_relaxed) != seq1) continue;  // torn
-    if (e.ev == Ev::None || e.ev >= Ev::Count) continue;
-    e.tid = r.tid;
-    out->push_back(e);
-  }
 }
 
 }  // namespace
@@ -223,13 +148,13 @@ void setTraceEnabled(bool on) {
 }
 
 void emit(Ev ev, Ph ph, i32 isolate, u64 a, u64 b) {
-  if (!traceEnabled()) return;
-  writeSlot(myRing(), traceNowNs(), ev, ph, isolate, a, b);
+  if (!traceEnabled()) return;  // before the clock read
+  state().rings.write(TraceRecord{traceNowNs(), a, b, isolate, ev, ph});
 }
 
 void emitAt(u64 ts_ns, Ev ev, Ph ph, i32 isolate, u64 a, u64 b) {
   if (!traceEnabled()) return;
-  writeSlot(myRing(), ts_ns, ev, ph, isolate, a, b);
+  state().rings.write(TraceRecord{ts_ns, a, b, isolate, ev, ph});
 }
 
 void recordLatency(Lat l, u64 ns) {
@@ -262,25 +187,16 @@ std::string traceNameOf(u32 id) {
 }
 
 void setTraceThreadName(const std::string& name) {
-  Ring& r = myRing();
-  TraceState& st = state();
-  std::lock_guard<std::mutex> lock(st.mu);
-  r.name = name;
+  state().rings.setName(name);
 }
 
-void setTraceRingCapacity(u32 slots) {
-  TraceState& st = state();
-  std::lock_guard<std::mutex> lock(st.mu);
-  st.ring_slots = slots > 0 ? slots : 1;
-}
+void setTraceRingCapacity(u32 slots) { state().rings.setCapacity(slots); }
 
 std::vector<TraceEvent> snapshotTrace() {
-  TraceState& st = state();
   std::vector<TraceEvent> out;
-  {
-    std::lock_guard<std::mutex> lock(st.mu);
-    for (const auto& r : st.rings) readRing(*r, &out);
-  }
+  state().rings.readAll([&out](u32 tid, const TraceRecord& r) {
+    out.push_back(TraceEvent{r.ts, tid, r.isolate, r.ev, r.ph, r.a, r.b});
+  });
   std::stable_sort(out.begin(), out.end(),
                    [](const TraceEvent& x, const TraceEvent& y) {
                      return x.ts_ns < y.ts_ns;
@@ -290,16 +206,11 @@ std::vector<TraceEvent> snapshotTrace() {
 
 void resetTrace() {
   TraceState& st = state();
+  st.rings.reset();  // retired, not freed: owners may be mid-emit
   std::lock_guard<std::mutex> lock(st.mu);
-  // Rings move to the retired list (not freed: their owner threads may be
-  // mid-emit); owners re-acquire a fresh ring at their next event via the
-  // epoch check in myRing().
-  for (auto& r : st.rings) st.retired.push_back(std::move(r));
-  st.rings.clear();
   st.name_ids.clear();
   st.names.clear();
   for (auto& h : st.hists) h.reset();
-  st.epoch.fetch_add(1, std::memory_order_acq_rel);
   // The clock epoch (obs/clock.h) is deliberately NOT re-based: profiler
   // samples recorded across a reset must stay comparable to new spans.
 }
@@ -389,20 +300,16 @@ bool dumpChromeTrace(const std::string& path) {
   };
 
   // Thread-name metadata so Perfetto labels the tracks.
-  {
-    TraceState& st = state();
-    std::lock_guard<std::mutex> lock(st.mu);
-    for (const auto& r : st.rings) {
-      std::string name = r->name.empty() ? strf("thread-%u", r->tid) : r->name;
-      std::string row =
-          strf("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":%u,"
-               "\"args\":{\"name\":\"",
-               r->tid);
-      appendJsonEscaped(&row, name);
-      row += "\"}}";
-      put(row);
-    }
-  }
+  state().rings.forEachRing([&put](const RingSet<TraceRecord>::Ring& r) {
+    std::string name = r.name.empty() ? strf("thread-%u", r.tid) : r.name;
+    std::string row =
+        strf("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":%u,"
+             "\"args\":{\"name\":\"",
+             r.tid);
+    appendJsonEscaped(&row, name);
+    row += "\"}}";
+    put(row);
+  });
 
   // Begin/End balancing per thread: a Begin whose End was overwritten by
   // ring wrap (or never emitted -- e.g. an isolate terminated mid-span and

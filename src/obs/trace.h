@@ -8,10 +8,12 @@
 //
 // Recording discipline (the reason this can stay on in production):
 //   * one fixed-size ring buffer per thread, created lazily on the
-//     thread's first event and owned by a process-wide registry;
+//     thread's first event and owned by a process-wide registry that
+//     hands an exited thread's ring to the next new thread
+//     (obs/seq_ring.h, shared with the sampling profiler);
 //   * a thread only ever writes its *own* ring -- emission is a seqlock
-//     slot publish (invalidate, fill, release-store the sequence), no
-//     lock, no allocation, no CAS;
+//     slot publish (invalidate, fence, fill, release-store the
+//     sequence), no lock, no allocation, no CAS;
 //   * the ring wraps: old events are overwritten, the newest N survive.
 //     Nothing on the hot path ever blocks on the trace;
 //   * readers (snapshotTrace / dumpChromeTrace) walk every ring and drop
@@ -159,8 +161,8 @@ std::vector<TraceEvent> snapshotTrace();
 // the file cannot be written.
 bool dumpChromeTrace(const std::string& path);
 
-// Forgets all recorded events, histograms and interned names. Rings of
-// live threads are retired (re-created on their next emit), never freed:
+// Forgets all recorded events, histograms and interned names. Rings are
+// retired (each owner gets a ring again at its next emit), never freed:
 // a thread mid-emit keeps writing into memory that stays valid. Tests
 // call this between cases; it is not meant for production use.
 void resetTrace();

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <functional>
 #include <mutex>
@@ -34,8 +35,8 @@ namespace {
 // in values, shape or sharing changes the hash.
 i64 graphChecksum(Object* root) {
   std::unordered_map<Object*, i64> ids;
-  i64 h = 1469598103934665603LL;
-  auto mix = [&h](i64 v) { h = (h ^ v) * 1099511628211LL; };
+  u64 h = 1469598103934665603ULL;  // FNV-1a, unsigned so it may wrap
+  auto mix = [&h](i64 v) { h = (h ^ static_cast<u64>(v)) * 1099511628211ULL; };
   std::function<void(Object*)> go = [&](Object* o) {
     if (o == nullptr) {
       mix(-1);
@@ -91,7 +92,7 @@ i64 graphChecksum(Object* root) {
     }
   };
   go(root);
-  return h;
+  return static_cast<i64>(h);
 }
 
 // Asserts every node of a received graph is keyed to `iso_id`: donated
@@ -118,15 +119,15 @@ struct RoundTrip {
 };
 
 struct DonationFixture : ::testing::Test {
-  void boot(bool zero_copy) {
+  // The default gc_threshold means no implicit GC: collections happen
+  // only where the tests invoke them (or where a memory-limit check forces
+  // one), so the termination races below exercise donation-vs-terminate
+  // interleavings, not allocation noise.
+  void boot(bool zero_copy, size_t gc_threshold = 256u << 20) {
     vm.reset();
     VmOptions opts;
     opts.comm_zero_copy = zero_copy;
-    // No implicit GC: collections happen only where the tests invoke them
-    // (or where a memory-limit check forces one), so the termination races
-    // below exercise donation-vs-terminate interleavings, not allocation
-    // noise.
-    opts.gc_threshold = 256u << 20;
+    opts.gc_threshold = gc_threshold;
     vm = std::make_unique<VM>(opts);
     installSystemLibrary(*vm);
     // The first isolate is the privileged Isolate0 hosting the main
@@ -460,6 +461,74 @@ TEST_F(DonationFixture, ZeroCopyOffNeverDonates) {
   EXPECT_EQ(iso_r->stats.objects_donated_in.load(), 0u);
   EXPECT_EQ(iso_s->stats.donated_bytes_delta.load(), 0);
   EXPECT_EQ(iso_r->stats.donated_bytes_delta.load(), 0);
+}
+
+// ---- Blocked receivers racing collections ----
+
+// An attached thread between guest calls is Blocked, which counts as
+// parked, so other threads' collections run concurrently with it. Its
+// transfers must still never lose a fresh copy: the walk runs as Running
+// and the result is rooted in `keep` before that ends. Copy mode makes
+// every node a fresh allocation; the small gc_threshold makes the walk's
+// own allocations collect too. Runs under the TSan CI leg.
+TEST_F(DonationFixture, BlockedReceiverTransfersSurviveConcurrentCollections) {
+  boot(/*zero_copy=*/false, /*gc_threshold=*/64u << 10);
+  // Two different messages, sent alternately: the heap recycles swept
+  // blocks, so a node swept under one transfer is soon overwritten by a
+  // node of the other message and the kept copy's checksum changes.
+  Rng rng(0xB10CCEDull);
+  GlobalRef* msgs[2] = {};
+  i64 want[2] = {};
+  for (int m = 0; m < 2; ++m) {
+    LocalRootScope roots(send_t);
+    Object* root = genGraph(send_t, rng, roots, 24);
+    ASSERT_NE(root, nullptr);
+    msgs[m] = vm->addGlobalRef(root, iso_s);
+    want[m] = graphChecksum(root);
+  }
+  ASSERT_NE(want[0], want[1]);
+  ASSERT_EQ(recv_t->state.load(), ThreadState::Blocked);
+
+  std::atomic<bool> done{false};
+  std::atomic<int> gcs{0};
+  std::thread collector([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      vm->collectGarbage(nullptr, nullptr);
+      gcs.fetch_add(1, std::memory_order_relaxed);
+      // Back-to-back stops would starve the receiver's exitBlocked.
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+    }
+  });
+  // Every 25th result is kept and checked once the collector has stopped
+  // (a Blocked reader would race the collector's mark bits); a node swept
+  // under the walk, or a result swept before `keep` rooted it, shows up
+  // there or crashes a later collection.
+  constexpr int kTransfers = 1500;
+  int failed = 0;
+  std::vector<std::pair<GlobalRef*, i64>> kept;
+  for (int i = 0; i < kTransfers; ++i) {
+    LocalRootScope roots(recv_t);
+    Object* got =
+        transferGraph(*vm, recv_t, iso_s, msgs[i % 2]->obj, nullptr, &roots);
+    if (got == nullptr) {
+      ++failed;
+      vm->clearPending(recv_t);
+    } else if (i % 25 == 0) {
+      kept.emplace_back(vm->addGlobalRef(got, iso_r), want[i % 2]);
+    }
+  }
+  done.store(true, std::memory_order_release);
+  collector.join();
+  EXPECT_EQ(failed, 0);
+  EXPECT_EQ(recv_t->state.load(), ThreadState::Blocked);  // bracket undone
+  EXPECT_GT(gcs.load(), 0);
+  vm->collectGarbage(nullptr, nullptr);
+  for (auto& [ref, sum] : kept) {
+    EXPECT_EQ(graphChecksum(ref->obj), sum);
+    expectAllOwnedBy(ref->obj, iso_r->id);
+    vm->removeGlobalRef(ref);
+  }
+  for (GlobalRef* msg : msgs) vm->removeGlobalRef(msg);
 }
 
 // ---- termination racing an in-flight donation, both kill orders ----

@@ -300,6 +300,11 @@ TEST(Metrics, PrometheusExpositionCarriesVmFamilies) {
 #else
   (void)loader;
 #endif
+#ifndef IJVM_DISABLE_TRACE
+  obs::resetTrace();
+  obs::setTraceEnabled(true);
+  obs::recordLatency(obs::Lat::ChannelSend, 1000);
+#endif
 
   obs::MetricsRegistry reg;
   obs::registerVmMetrics(&reg, f.vm);
@@ -321,6 +326,16 @@ TEST(Metrics, PrometheusExpositionCarriesVmFamilies) {
   EXPECT_NE(text.find("ijvm_isolate_donated_bytes_delta"), std::string::npos);
   EXPECT_NE(text.find("ijvm_profiler_samples_total"), std::string::npos);
   EXPECT_NE(text.find("ijvm_compile_queue_depth"), std::string::npos);
+#ifndef IJVM_DISABLE_TRACE
+  // Latency percentiles carry the standard numeric quantile labels.
+  EXPECT_NE(text.find("ijvm_latency{site=\"channel send\",quantile=\"0.5\"} "),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("ijvm_latency{site=\"channel send\",quantile=\"0.99\"} "),
+            std::string::npos)
+      << text;
+  EXPECT_EQ(text.find("quantile=\"p"), std::string::npos) << text;
+#endif
 
 #ifndef IJVM_DISABLE_PROFILER
   // The quoted isolate name is escaped, and its profile samples surface.
