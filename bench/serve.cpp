@@ -116,8 +116,9 @@ SendCost measureSend(bool zero_copy) {
       // because a donated array is gone from the sender).
       LocalRootScope roots(env.dt);
       Object* req = roots.add(env.newPayload(1024));  // 4 KiB payload
+      LocalRootScope got_roots(rt);
       const i64 t0 = nowNs();
-      Object* got = transferGraph(vm, rt, env.iso_d, req);
+      Object* got = transferGraph(vm, rt, env.iso_d, req, got_roots);
       sum += nowNs() - t0;
       if (got == nullptr) vm.clearPending(rt);
       // Received graph is dropped: steady-state serving, not retention.
@@ -187,7 +188,7 @@ ServeResult measureServing(bool zero_copy) {
     pool.submit(
         [&vm, sender, req, ref, loader, cls, slot, t0, &failed](JThread* jt) {
           LocalRootScope roots(jt);
-          Object* got = transferGraph(vm, jt, sender, req, nullptr, &roots);
+          Object* got = transferGraph(vm, jt, sender, req, roots);
           vm.removeGlobalRef(ref);
           if (got == nullptr) {
             vm.clearPending(jt);

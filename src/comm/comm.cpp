@@ -183,7 +183,7 @@ void CommHarness::incommunicadoServer() {
     // this is exactly the old deepCopy.
     LocalRootScope roots(t);
     Object* copy = transferGraph(vm_, t, vm_.isolateById(ref->isolate_id),
-                                 request, nullptr, &roots);
+                                 request, roots);
     vm_.removeGlobalRef(ref);
     i32 result = -1;
     if (copy != nullptr && t->pending_exception == nullptr) {
@@ -244,7 +244,7 @@ void CommHarness::rmiServer() {
     if (!server->readFully(&payload, len, &stop_)) break;
 
     LocalRootScope roots(t);
-    Object* request = deserializeGraph(vm_, t, payload, &roots);
+    Object* request = deserializeGraph(vm_, t, payload, roots);
     i32 result = -1;
     if (request != nullptr && t->pending_exception == nullptr) {
       Object* mname = request->fields()[method_f->slot].asRef();
@@ -291,7 +291,7 @@ i64 CommHarness::runRmi(i32 n) {
     size_t len = static_cast<size_t>(std::stoll(header));
     std::string payload;
     IJVM_CHECK(rmi_channel_->readFully(&payload, len, &stop_), "rmi cancelled");
-    Object* reply = deserializeGraph(vm_, t, payload, &roots);
+    Object* reply = deserializeGraph(vm_, t, payload, roots);
     IJVM_CHECK(reply != nullptr && t->pending_exception == nullptr,
                vm_.pendingMessage(t));
     result = reply->fields()[value_f->slot].asInt();

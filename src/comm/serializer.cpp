@@ -1,7 +1,6 @@
 #include "comm/serializer.h"
 
 #include <cstring>
-#include <optional>
 #include <sstream>
 #include <unordered_map>
 #include <vector>
@@ -32,10 +31,14 @@ std::vector<JField*> instanceFields(JClass* cls) {
 // calls, and a Blocked thread counts as parked: another thread's
 // collection could run mid-walk and sweep a fresh copy before the walk
 // roots it. While Running the thread is counted, so no stop-the-world
-// (GC, terminateIsolate) completes until the walk ends, polls or blocks,
+// (GC, terminateIsolate) completes until the walk polls, blocks or ends,
 // and a collection its own allocation triggers runs as this thread's
 // (collectGarbage sees a Running requester). A thread already Running --
 // a guest inside a native -- is left untouched.
+//
+// The walk calls poll() before each node, where everything it has made is
+// rooted, so a stop-the-world waits for one node, not for the whole graph
+// (whose size the sender picks).
 class RunningScope {
  public:
   RunningScope(VM& vm, JThread* t)
@@ -55,6 +58,10 @@ class RunningScope {
   RunningScope(const RunningScope&) = delete;
   RunningScope& operator=(const RunningScope&) = delete;
 
+  void poll() {
+    if (sp_.stopRequested()) sp_.poll();
+  }
+
  private:
   SafepointController& sp_;
   JThread* t_;
@@ -73,19 +80,16 @@ bool isInternedIn(Isolate* iso, Object* o) {
 
 // The shared copy/donate walker behind deepCopy and transferGraph.
 // `sender` == nullptr disables donation (pure deep copy).
+// Every node it makes is rooted in the caller's `roots`, so the result is
+// still rooted when the walk stops counting as Running. (Local roots are
+// a stack: a scope of the walk's own would drop anything added to the
+// caller's while it was open.)
 Object* copyOrTransfer(VM& vm, JThread* receiver, Isolate* sender,
                        Object* src, TransferStats* stats,
-                       LocalRootScope* keep) {
+                       LocalRootScope& roots) {
   if (src == nullptr) return nullptr;
   RunningScope running(vm, receiver);
   std::unordered_map<Object*, Object*> copies;
-  // The walk roots what it makes in the caller's `keep` scope when given,
-  // so the result is still rooted when the walk stops counting as
-  // Running. (Local roots are a stack: a scope of the walk's own would
-  // drop anything added to `keep` while it was open.)
-  std::optional<LocalRootScope> own_roots;
-  if (keep == nullptr) own_roots.emplace(receiver);
-  LocalRootScope& roots = keep != nullptr ? *keep : *own_roots;
   Isolate* recv_iso = receiver->current_isolate.load(std::memory_order_relaxed);
 
   bool donate_enabled = false;
@@ -147,6 +151,7 @@ Object* copyOrTransfer(VM& vm, JThread* receiver, Isolate* sender,
   std::function<Object*(Object*)> walk = [&](Object* o) -> Object* {
     if (o == nullptr) return nullptr;
     if (auto it = copies.find(o); it != copies.end()) return it->second;
+    running.poll();
     // Donation fast path: only leaf kinds (primitive arrays, strings) are
     // eligible, so a successful donation never recurses.
     if (donate_enabled &&
@@ -249,12 +254,12 @@ Object* copyOrTransfer(VM& vm, JThread* receiver, Isolate* sender,
 
 }  // namespace
 
-Object* deepCopy(VM& vm, JThread* receiver, Object* src) {
-  return copyOrTransfer(vm, receiver, /*sender=*/nullptr, src, nullptr, nullptr);
+Object* deepCopy(VM& vm, JThread* receiver, Object* src, LocalRootScope& keep) {
+  return copyOrTransfer(vm, receiver, /*sender=*/nullptr, src, nullptr, keep);
 }
 
 Object* transferGraph(VM& vm, JThread* receiver, Isolate* sender, Object* root,
-                      TransferStats* stats, LocalRootScope* keep) {
+                      LocalRootScope& keep, TransferStats* stats) {
   TransferStats local;
   if (stats == nullptr) stats = &local;
   Object* out = copyOrTransfer(vm, receiver, sender, root, stats, keep);
@@ -266,6 +271,15 @@ Object* transferGraph(VM& vm, JThread* receiver, Isolate* sender, Object* root,
     obs::recordLatency(obs::Lat::DonatedBytes, stats->bytes_donated);
   }
   return out;
+}
+
+Object* transferGraph(VM& vm, JThread* receiver, Isolate* sender, Object* root,
+                      TransferStats* stats) {
+  IJVM_CHECK(receiver->state.load(std::memory_order_acquire) ==
+                 ThreadState::Running,
+             "transferGraph without a root scope needs a Running caller");
+  LocalRootScope keep(receiver);
+  return transferGraph(vm, receiver, sender, root, keep, stats);
 }
 
 // ------------------------------------------------------------- serialize
@@ -446,24 +460,22 @@ std::string serializeGraph(VM& vm, Object* root) {
 }
 
 Object* deserializeGraph(VM& vm, JThread* receiver, const std::string& bytes,
-                         LocalRootScope* keep) {
+                         LocalRootScope& roots) {
   Reader r(bytes);
   if (!r.open()) {
     vm.throwGuest(receiver, "java/lang/IllegalArgumentException",
                   "corrupt serialized stream");
     return nullptr;
   }
-  RunningScope running(vm, receiver);  // same rooting window as the walk
+  RunningScope running(vm, receiver);  // as in copyOrTransfer
   std::unordered_map<i64, Object*> ids;
-  std::optional<LocalRootScope> own_roots;  // as in copyOrTransfer
-  if (keep == nullptr) own_roots.emplace(receiver);
-  LocalRootScope& roots = keep != nullptr ? *keep : *own_roots;
   Isolate* iso = receiver->current_isolate.load(std::memory_order_relaxed);
 
   std::function<Object*()> parse = [&]() -> Object* {
     std::string tag = r.word();
     if (!r.ok()) return nullptr;
     if (tag == "NULL") return nullptr;
+    running.poll();  // every node parsed so far is in `roots`
     if (tag == "BACK") {
       i64 id = r.num();
       auto it = ids.find(id);

@@ -54,27 +54,36 @@ struct TransferStats {
 // Threads: `receiver` may be a guest inside a native (Running) or an
 // attached host thread between guest calls (Blocked). A Blocked receiver
 // runs the walk as Running, so no other thread's collection can sweep a
-// node the walk has not yet rooted; deepCopy and deserializeGraph do the
-// same. A Blocked caller should pass `keep` (here and to
-// deserializeGraph): the walk roots every node it makes, the result
-// included, in that scope, so the result is never unrooted while another
-// thread may collect.
+// node the walk has not yet rooted; between nodes the walk polls, so a
+// large graph never holds off another thread's stop-the-world (GC,
+// terminateIsolate) for longer than one node. Every node the walk makes,
+// the result included, is rooted in `keep`, so the result stays rooted
+// after the walk however the caller runs. The source graph must be
+// rooted by the caller (the walk polls). deepCopy and deserializeGraph
+// follow the same rules.
 Object* transferGraph(VM& vm, JThread* receiver, Isolate* sender, Object* root,
-                      TransferStats* stats = nullptr,
-                      LocalRootScope* keep = nullptr);
+                      LocalRootScope& keep, TransferStats* stats = nullptr);
 
-// Copies `src` into the isolate `receiver` currently runs in. Allocations
-// are charged to the receiver (it performs the copy). Returns nullptr and
-// sets a pending guest exception on failure.
-Object* deepCopy(VM& vm, JThread* receiver, Object* src);
+// The same transfer for a caller that is already Running (checked): the
+// result is unrooted on return, like a fresh allocObject result, and
+// safe until the caller's next poll, block or allocation.
+Object* transferGraph(VM& vm, JThread* receiver, Isolate* sender, Object* root,
+                      TransferStats* stats = nullptr);
+
+// Copies `src` into the isolate `receiver` currently runs in, rooting
+// every copy in `keep`. Allocations are charged to the receiver (it
+// performs the copy). Returns nullptr and sets a pending guest exception
+// on failure.
+Object* deepCopy(VM& vm, JThread* receiver, Object* src, LocalRootScope& keep);
 
 // Serializes the graph rooted at `root` (read-only, no allocation).
 std::string serializeGraph(VM& vm, Object* root);
 
-// Rebuilds the graph in the receiver's isolate; class names resolve through
-// the receiver's current loader. Returns nullptr (pending exception) on
-// malformed input or unresolvable classes.
+// Rebuilds the graph in the receiver's isolate, rooting every node in
+// `keep`; class names resolve through the receiver's current loader.
+// Returns nullptr (pending exception) on malformed input or unresolvable
+// classes.
 Object* deserializeGraph(VM& vm, JThread* receiver, const std::string& bytes,
-                         LocalRootScope* keep = nullptr);
+                         LocalRootScope& keep);
 
 }  // namespace ijvm

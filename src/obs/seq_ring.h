@@ -13,10 +13,11 @@
 // thread finds its ring through a thread-local cache keyed by (set id,
 // reset epoch), so the hot path takes no lock. A ring outlives its
 // thread: an exited thread's records stay readable until a new thread
-// needs a ring and the registry hands it the dead thread's one (cleared,
-// with a fresh tid) instead of allocating. Ring memory is therefore
-// bounded by the peak number of live recording threads, not by every
-// thread that ever recorded.
+// needs a ring and the registry hands it a dead thread's one (cleared,
+// with a fresh tid) instead of allocating -- the ring of the thread that
+// exited first, so the latest exited threads' records last longest. Ring
+// memory is therefore bounded by the peak number of live recording
+// threads, not by every thread that ever recorded.
 #pragma once
 
 #include <atomic>
@@ -109,8 +110,9 @@ class RingSet {
     u32 tid;           // dense, never reused: a reused ring gets a new one
     std::string name;  // export label ("" = unnamed); under the set's lock
     SeqRing<T> data;
-    // The owner thread's alive flag, shared with its thread-local cache.
-    std::shared_ptr<std::atomic<bool>> owner;
+    // The owner thread's exit stamp, shared with its thread-local cache:
+    // 0 while the owner lives, then its place in the order of exits.
+    std::shared_ptr<std::atomic<u64>> owner;
   };
 
   explicit RingSet(u32 capacity) : capacity_(capacity) {}
@@ -178,15 +180,15 @@ class RingSet {
   }
 
   // One per thread per record type. Its destructor runs at thread exit
-  // and only clears the alive flag, so it never touches a set (which may
+  // and only stamps the exit, so it never touches a set (which may
   // already be gone).
   struct Cache {
     u64 set = 0;
     u64 epoch = 0;
     Ring* ring = nullptr;
-    std::shared_ptr<std::atomic<bool>> alive;
+    std::shared_ptr<std::atomic<u64>> alive;
     ~Cache() {
-      if (alive) alive->store(false, std::memory_order_release);
+      if (alive) alive->store(nextExit(), std::memory_order_release);
     }
   };
 
@@ -200,8 +202,14 @@ class RingSet {
     return next.fetch_add(1, std::memory_order_relaxed);
   }
 
+  // Exit stamps start at 1 (0 = alive).
+  static u64 nextExit() {
+    static std::atomic<u64> next{1};
+    return next.fetch_add(1, std::memory_order_relaxed);
+  }
+
   Ring& acquire(Cache& c) {
-    if (!c.alive) c.alive = std::make_shared<std::atomic<bool>>(true);
+    if (!c.alive) c.alive = std::make_shared<std::atomic<u64>>(0);
     std::lock_guard<std::mutex> lock(mu_);
     Ring* got = nullptr;
     // This epoch's ring of ours, when the thread comes back from another
@@ -221,25 +229,34 @@ class RingSet {
     return *got;
   }
 
-  // A ring no thread writes any more -- its owner exited, or it is our
-  // own retired ring -- cleared and handed to `me`; nullptr when none.
-  // The acquire load pairs with the exiting owner's release store, so its
-  // last writes happen before the clear.
-  Ring* reuse(const std::shared_ptr<std::atomic<bool>>& me) {
-    auto dead = [](const Ring& r) {
-      return !r.owner->load(std::memory_order_acquire);
+  // A ring no thread writes any more -- our own retired ring, or one
+  // whose owner exited -- cleared and handed to `me`; nullptr when none.
+  // Retired rings go first (nothing readable is lost), then the readable
+  // ring whose owner exited first. The acquire load pairs with the
+  // exiting owner's release store, so its last writes happen before the
+  // clear.
+  Ring* reuse(const std::shared_ptr<std::atomic<u64>>& me) {
+    auto exitStamp = [](const Ring& r) {
+      return r.owner->load(std::memory_order_acquire);
     };
     Ring* got = nullptr;
     for (auto it = retired_.begin(); it != retired_.end(); ++it) {
-      if ((*it)->owner == me || dead(**it)) {
+      if ((*it)->owner == me || exitStamp(**it) != 0) {
         rings_.push_back(std::move(*it));
         retired_.erase(it);
         got = rings_.back().get();
         break;
       }
     }
-    for (auto it = rings_.begin(); got == nullptr && it != rings_.end(); ++it) {
-      if (dead(**it)) got = it->get();
+    if (got == nullptr) {
+      u64 oldest = ~0ull;
+      for (auto& r : rings_) {
+        const u64 stamp = exitStamp(*r);
+        if (stamp != 0 && stamp < oldest) {
+          oldest = stamp;
+          got = r.get();
+        }
+      }
     }
     if (got == nullptr) return nullptr;
     got->data.clear(capacity_);

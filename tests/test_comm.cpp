@@ -56,7 +56,7 @@ TEST_F(CommFixture, SerializerRoundTripsObjectGraph) {
   b->fields()[next_f->slot] = Value::ofRef(a);  // cycle
 
   std::string bytes = serializeGraph(*vm, a);
-  Object* copy = deserializeGraph(*vm, t, bytes);
+  Object* copy = deserializeGraph(*vm, t, bytes, roots);
   ASSERT_EQ(t->pending_exception, nullptr) << vm->pendingMessage(t);
   ASSERT_NE(copy, nullptr);
   EXPECT_NE(copy, a);
@@ -80,7 +80,8 @@ TEST_F(CommFixture, SerializerRejectsCorruptStream) {
   ASSERT_FALSE(bytes.empty());
   std::string corrupt = bytes;
   corrupt[corrupt.size() - 1] ^= 1;
-  Object* r = deserializeGraph(*vm, t, corrupt);
+  LocalRootScope roots(t);
+  Object* r = deserializeGraph(*vm, t, corrupt, roots);
   EXPECT_EQ(r, nullptr);
   ASSERT_NE(t->pending_exception, nullptr);
   vm->clearPending(t);
@@ -101,7 +102,7 @@ TEST_F(CommFixture, DeepCopyCreatesDistinctObjectsChargedToReceiver) {
   Object* src = roots.add(vm->allocObject(t, pair_cls));
   src->fields()[pair_cls->findField("x")->slot] = Value::ofInt(11);
 
-  Object* dup = deepCopy(*vm, t, src);
+  Object* dup = deepCopy(*vm, t, src, roots);
   ASSERT_NE(dup, nullptr);
   EXPECT_NE(dup, src);
   EXPECT_EQ(dup->fields()[pair_cls->findField("x")->slot].asInt(), 11);
@@ -136,7 +137,7 @@ TEST_F(CommFixture, NativeBackedObjectsReportOwnerAndFieldPath) {
   ASSERT_NE(nat, nullptr);
   box->fields()[box_cls->findField("left")->slot] = Value::ofRef(nat);
 
-  Object* dup = deepCopy(*vm, t, box);
+  Object* dup = deepCopy(*vm, t, box, roots);
   EXPECT_EQ(dup, nullptr);
   ASSERT_NE(t->pending_exception, nullptr);
   const std::string msg = vm->pendingMessage(t);

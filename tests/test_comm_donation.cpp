@@ -218,7 +218,9 @@ struct DonationFixture : ::testing::Test {
       LocalRootScope roots(send_t);
       Object* msg = genGraph(send_t, rng, roots, 24);
       ASSERT_NE(msg, nullptr);
-      Object* got = transferGraph(*vm, recv_t, iso_s, msg, &out->stats);
+      LocalRootScope got_roots(recv_t);
+      Object* got =
+          transferGraph(*vm, recv_t, iso_s, msg, got_roots, &out->stats);
       ASSERT_EQ(recv_t->pending_exception, nullptr) << vm->pendingMessage(recv_t);
       ASSERT_NE(got, nullptr);
       out->checksum = graphChecksum(got);
@@ -308,7 +310,8 @@ TEST_F(DonationFixture, DonatedBuffersAreGcScannedInTheReceiversHeap) {
     ASSERT_NE(arr, nullptr);
     for (i32 i = 0; i < 1024; ++i) arr->intElems()[i] = i * 3;
     TransferStats stats;
-    Object* got = transferGraph(*vm, recv_t, iso_s, arr, &stats);
+    LocalRootScope got_roots(recv_t);
+    Object* got = transferGraph(*vm, recv_t, iso_s, arr, got_roots, &stats);
     ASSERT_EQ(got, arr);  // donated, not copied
     EXPECT_EQ(stats.objects_donated, 1u);
     EXPECT_EQ(stats.bytes_donated, arr->byte_size);
@@ -356,7 +359,8 @@ TEST_F(DonationFixture, DonationMovesTheMemoryLimitCharge) {
     ASSERT_NE(arr, nullptr);
     bytes = arr->byte_size;
     TransferStats stats;
-    Object* got = transferGraph(*vm, recv_t, iso_s, arr, &stats);
+    LocalRootScope got_roots(recv_t);
+    Object* got = transferGraph(*vm, recv_t, iso_s, arr, got_roots, &stats);
     ASSERT_EQ(got, arr);
     EXPECT_EQ(iso_s->stats.donated_bytes_delta.load(), -static_cast<i64>(bytes));
     EXPECT_EQ(iso_r->stats.donated_bytes_delta.load(), static_cast<i64>(bytes));
@@ -387,13 +391,14 @@ TEST_F(DonationFixture, DonationMovesTheMemoryLimitCharge) {
 TEST_F(DonationFixture, IneligibleNodesFallBackToCopy) {
   boot(/*zero_copy=*/true);
   LocalRootScope roots(send_t);
+  LocalRootScope got_roots(recv_t);
 
   // Interned strings stay in the sender's table (its `==` semantics and
   // GC roots depend on the original object).
   Object* interned = vm->internString(send_t, "interned-label");
   ASSERT_NE(interned, nullptr);
   TransferStats s1;
-  Object* got1 = transferGraph(*vm, recv_t, iso_s, interned, &s1);
+  Object* got1 = transferGraph(*vm, recv_t, iso_s, interned, got_roots, &s1);
   ASSERT_NE(got1, nullptr);
   EXPECT_NE(got1, interned);
   EXPECT_EQ(s1.objects_donated, 0u);
@@ -406,7 +411,7 @@ TEST_F(DonationFixture, IneligibleNodesFallBackToCopy) {
   ASSERT_NE(locked, nullptr);
   vm->monitorOf(locked);
   TransferStats s2;
-  Object* got2 = transferGraph(*vm, recv_t, iso_s, locked, &s2);
+  Object* got2 = transferGraph(*vm, recv_t, iso_s, locked, got_roots, &s2);
   ASSERT_NE(got2, nullptr);
   EXPECT_NE(got2, locked);
   EXPECT_EQ(s2.objects_donated, 0u);
@@ -417,7 +422,7 @@ TEST_F(DonationFixture, IneligibleNodesFallBackToCopy) {
       vm->mainThread(), vm->registry().arrayClass("[I"), 16));
   ASSERT_NE(foreign, nullptr);
   TransferStats s3;
-  Object* got3 = transferGraph(*vm, recv_t, iso_s, foreign, &s3);
+  Object* got3 = transferGraph(*vm, recv_t, iso_s, foreign, got_roots, &s3);
   ASSERT_NE(got3, nullptr);
   EXPECT_NE(got3, foreign);
   EXPECT_EQ(s3.objects_donated, 0u);
@@ -432,7 +437,7 @@ TEST_F(DonationFixture, IneligibleNodesFallBackToCopy) {
   ASSERT_NE(arr, nullptr);
   n->fields()[payload_f->slot] = Value::ofRef(arr);
   TransferStats s4;
-  Object* got4 = transferGraph(*vm, recv_t, iso_s, n, &s4);
+  Object* got4 = transferGraph(*vm, recv_t, iso_s, n, got_roots, &s4);
   ASSERT_NE(got4, nullptr);
   EXPECT_NE(got4, n);
 #ifdef IJVM_DISABLE_ZERO_COPY
@@ -453,7 +458,8 @@ TEST_F(DonationFixture, ZeroCopyOffNeverDonates) {
       vm->allocArrayObject(send_t, vm->registry().arrayClass("[I"), 256));
   ASSERT_NE(arr, nullptr);
   TransferStats stats;
-  Object* got = transferGraph(*vm, recv_t, iso_s, arr, &stats);
+  LocalRootScope got_roots(recv_t);
+  Object* got = transferGraph(*vm, recv_t, iso_s, arr, got_roots, &stats);
   ASSERT_NE(got, nullptr);
   EXPECT_NE(got, arr);
   EXPECT_EQ(stats.objects_donated, 0u);
@@ -509,7 +515,7 @@ TEST_F(DonationFixture, BlockedReceiverTransfersSurviveConcurrentCollections) {
   for (int i = 0; i < kTransfers; ++i) {
     LocalRootScope roots(recv_t);
     Object* got =
-        transferGraph(*vm, recv_t, iso_s, msgs[i % 2]->obj, nullptr, &roots);
+        transferGraph(*vm, recv_t, iso_s, msgs[i % 2]->obj, roots);
     if (got == nullptr) {
       ++failed;
       vm->clearPending(recv_t);
@@ -529,6 +535,52 @@ TEST_F(DonationFixture, BlockedReceiverTransfersSurviveConcurrentCollections) {
     vm->removeGlobalRef(ref);
   }
   for (GlobalRef* msg : msgs) vm->removeGlobalRef(msg);
+}
+
+// The walk parks for another thread's stop-the-world between nodes, so a
+// collection requested while a Blocked receiver copies a large graph
+// completes mid-walk instead of waiting for the whole graph (whose size
+// the sender picks). The receiver's allocation counter, read as soon as
+// the collection returns, shows the walk still unfinished; the result
+// then comes out intact.
+TEST_F(DonationFixture, CollectionCompletesWhileALargeGraphTransfers) {
+  boot(/*zero_copy=*/false);
+  constexpr int kDepth = 16;  // 2^16 - 1 d/Node, each one receiver copy
+  constexpr u64 kNodes = (1u << kDepth) - 1;
+  LocalRootScope src_roots(send_t);
+  std::function<Object*(int)> tree = [&](int depth) -> Object* {
+    if (depth == kDepth) return nullptr;
+    Object* n = src_roots.add(vm->allocObject(send_t, node_cls));
+    if (n == nullptr) return nullptr;
+    n->fields()[value_f->slot] = Value::ofInt(depth);
+    n->fields()[left_f->slot] = Value::ofRef(tree(depth + 1));
+    n->fields()[right_f->slot] = Value::ofRef(tree(depth + 1));
+    return n;
+  };
+  Object* root = tree(0);
+  ASSERT_NE(root, nullptr);
+  const i64 want = graphChecksum(root);
+  ASSERT_EQ(recv_t->state.load(), ThreadState::Blocked);
+
+  const u64 base = iso_r->stats.objects_allocated.load();
+  std::atomic<u64> made_at_gc{0};
+  std::thread collector([&] {
+    // Once the walk is copying, stop the world once.
+    while (iso_r->stats.objects_allocated.load() == base) {
+      std::this_thread::yield();
+    }
+    vm->collectGarbage(nullptr, nullptr);
+    made_at_gc.store(iso_r->stats.objects_allocated.load() - base);
+  });
+  LocalRootScope got_roots(recv_t);
+  Object* got = transferGraph(*vm, recv_t, iso_s, root, got_roots);
+  collector.join();
+  ASSERT_NE(got, nullptr) << vm->pendingMessage(recv_t);
+  EXPECT_EQ(iso_r->stats.objects_allocated.load() - base, kNodes);
+  EXPECT_GT(made_at_gc.load(), 0u);
+  EXPECT_LT(made_at_gc.load(), kNodes);  // the walk had not finished
+  EXPECT_EQ(graphChecksum(got), want);
+  expectAllOwnedBy(got, iso_r->id);
 }
 
 // ---- termination racing an in-flight donation, both kill orders ----
@@ -553,7 +605,8 @@ TEST_F(DonationFixture, SenderKilledMidStreamLeaksNoChargeAndNoForeignRefs) {
       Object* msg = genGraph(st, rng, roots, 6, /*allow_intern=*/false);
       if (msg != nullptr) {
         TransferStats stats;
-        Object* got = transferGraph(*vm, rt, iso_s, msg, &stats);
+        LocalRootScope got_roots(rt);
+        Object* got = transferGraph(*vm, rt, iso_s, msg, got_roots, &stats);
         if (got != nullptr && (i % 16) == 0) {
           std::lock_guard<std::mutex> lock(received_m);
           received.push_back(vm->addGlobalRef(got, iso_r));
@@ -569,7 +622,7 @@ TEST_F(DonationFixture, SenderKilledMidStreamLeaksNoChargeAndNoForeignRefs) {
 
   // Kill the sender mid-stream (the main thread lives in the privileged
   // Isolate0), racing terminateIsolate's stop-the-world against the
-  // pump's per-node counted donation brackets.
+  // pump's transfer walk, which parks for it between nodes.
   while (sent.load(std::memory_order_acquire) < kMessages / 4) {
     std::this_thread::yield();
   }
@@ -628,7 +681,9 @@ TEST_F(DonationFixture, ReceiverKilledBeforeDrainRefusesDonationAndLeaksNothing)
   const u64 donated_before = iso_r->stats.bytes_donated_in.load();
   for (GlobalRef* ref : queue) {
     TransferStats stats;
-    Object* got = transferGraph(*vm, recv_t, iso_s, ref->obj, &stats);
+    LocalRootScope got_roots(recv_t);
+    Object* got =
+        transferGraph(*vm, recv_t, iso_s, ref->obj, got_roots, &stats);
     EXPECT_EQ(stats.objects_donated, 0u);  // receiver not Active
     if (got != nullptr) {
       EXPECT_NE(got, ref->obj);

@@ -772,8 +772,7 @@ CommRun runCommRun(const VmOptions& opts) {
     }
 
     LocalRootScope got_scope(rt);
-    Object* got = transferGraph(vm, rt, iso_s, a);
-    if (got != nullptr) got_scope.add(got);
+    Object* got = transferGraph(vm, rt, iso_s, a, got_scope);
     if (rt->pending_exception != nullptr) vm.clearPending(rt);
     digest(got);
     if (got != nullptr && i % 3 == 0) {
@@ -794,8 +793,7 @@ CommRun runCommRun(const VmOptions& opts) {
       break;
     }
     LocalRootScope back_scope(rt);
-    Object* back = deserializeGraph(vm, rt, body);
-    if (back != nullptr) back_scope.add(back);
+    Object* back = deserializeGraph(vm, rt, body, back_scope);
     if (rt->pending_exception != nullptr) vm.clearPending(rt);
     digest(back);
     if (back != nullptr && i % 4 == 0) {

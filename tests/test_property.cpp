@@ -217,7 +217,7 @@ TEST_P(GraphProperty, SerializerRoundTripsRandomGraphIsomorphically) {
   }
 
   std::string bytes = serializeGraph(vm, nodes[0]);
-  Object* copy = deserializeGraph(vm, t, bytes);
+  Object* copy = deserializeGraph(vm, t, bytes, roots);
   ASSERT_EQ(t->pending_exception, nullptr) << vm.pendingMessage(t);
   ASSERT_NE(copy, nullptr);
 

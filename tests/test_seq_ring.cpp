@@ -6,7 +6,8 @@
 //     words disagree is a torn read). Runs under the TSan CI leg;
 //   * RingSet reuses the ring of an exited thread instead of allocating,
 //     so short-lived threads leave a bounded ring count, while an exited
-//     thread's records stay readable until its ring is handed on;
+//     thread's records stay readable until its ring is handed on (the
+//     earliest exited thread's ring first);
 //   * reset, capacity changes, a thread moving between sets and a set
 //     dying before its threads all keep the registry coherent.
 #include <gtest/gtest.h>
@@ -144,6 +145,44 @@ TEST(RingSet, ExitedThreadStaysReadableUntilItsRingIsReused) {
   EXPECT_EQ(after[0].second, 42u);
   EXPECT_NE(after[0].first, dead[0].first);
   EXPECT_EQ(set.ringCount(), 1u);
+}
+
+// With several dead rings, the one whose owner exited first is reused,
+// so the most recently exited thread's records last longest. The ring
+// allocated first is the later exiter's, so reuse in allocation order
+// would pick the wrong one.
+TEST(RingSet, ReuseTakesTheRingOfTheEarliestExitedThread) {
+  RingSet<Rec> set(16);
+  std::mutex m;
+  std::condition_variable cv;
+  bool wrote = false;
+  bool release = false;
+  std::thread last([&] {  // allocates first, exits last
+    set.write(Rec{2});
+    std::unique_lock<std::mutex> lock(m);
+    wrote = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return release; });
+  });
+  {
+    std::unique_lock<std::mutex> lock(m);
+    cv.wait(lock, [&] { return wrote; });
+  }
+  onThread([&set] { set.write(Rec{1}); });  // exits first
+  {
+    std::lock_guard<std::mutex> lock(m);
+    release = true;
+  }
+  cv.notify_all();
+  last.join();
+  ASSERT_EQ(set.ringCount(), 2u);
+
+  onThread([&set] { set.write(Rec{3}); });
+  std::vector<u64> seen;
+  for (const auto& rec : records(set)) seen.push_back(rec.second);
+  std::sort(seen.begin(), seen.end());
+  EXPECT_EQ(seen, (std::vector<u64>{2, 3}));
+  EXPECT_EQ(set.ringCount(), 2u);
 }
 
 TEST(RingSet, LiveOwnersKeepTheirRings) {
